@@ -95,7 +95,16 @@ type Conn struct {
 	handler env.Handler
 	closed  bool
 	rdDone  chan struct{}
+
+	// resolved caches each destination's *net.UDPAddr after its first
+	// successful resolve (env.Addr -> *net.UDPAddr), so sends and
+	// broadcasts do not resolve per datagram. Failures are not cached.
+	resolved sync.Map
 }
+
+// resolveUDPAddr resolves destination addresses; tests replace it to count
+// lookups.
+var resolveUDPAddr = net.ResolveUDPAddr
 
 // Listen binds listen ("ip:port") and returns a Conn whose Broadcast sends
 // to every address in peers.
@@ -149,14 +158,27 @@ func (c *Conn) LocalAddr() env.Addr { return c.local }
 
 // SendTo implements env.PacketConn.
 func (c *Conn) SendTo(to env.Addr, payload []byte) error {
-	dst, err := net.ResolveUDPAddr("udp", string(to))
+	dst, err := c.resolve(to)
 	if err != nil {
-		return fmt.Errorf("realtime: resolve %q: %w", to, err)
+		return err
 	}
 	if _, err := c.udp.WriteToUDP(payload, dst); err != nil {
 		return fmt.Errorf("realtime: send to %s: %w", to, err)
 	}
 	return nil
+}
+
+// resolve returns to's UDP address, resolving it on first use only.
+func (c *Conn) resolve(to env.Addr) (*net.UDPAddr, error) {
+	if dst, ok := c.resolved.Load(to); ok {
+		return dst.(*net.UDPAddr), nil
+	}
+	dst, err := resolveUDPAddr("udp", string(to))
+	if err != nil {
+		return nil, fmt.Errorf("realtime: resolve %q: %w", to, err)
+	}
+	c.resolved.Store(to, dst)
+	return dst, nil
 }
 
 // Broadcast implements env.PacketConn by unicasting to every configured

@@ -2,6 +2,7 @@ package realtime
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -216,4 +217,109 @@ func TestManyMessagesNoLossOnLoopback(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// countResolves swaps in a resolver that counts lookups per address for
+// the rest of the test.
+func countResolves(t *testing.T) map[string]int {
+	t.Helper()
+	counts := map[string]int{}
+	var mu sync.Mutex
+	orig := resolveUDPAddr
+	resolveUDPAddr = func(network, addr string) (*net.UDPAddr, error) {
+		mu.Lock()
+		counts[addr]++
+		mu.Unlock()
+		return orig(network, addr)
+	}
+	t.Cleanup(func() { resolveUDPAddr = orig })
+	return counts
+}
+
+func TestSendResolvesEachPeerOnce(t *testing.T) {
+	counts := countResolves(t)
+	loop := NewLoop()
+	defer loop.Close()
+	rx, err := Listen(loop, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	got := make(chan struct{}, 64)
+	rx.SetHandler(func(env.Addr, []byte) { got <- struct{}{} })
+	tx, err := Listen(loop, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	tx.peers = []env.Addr{rx.LocalAddr(), tx.LocalAddr()}
+
+	for i := 0; i < 5; i++ {
+		if err := tx.SendTo(rx.LocalAddr(), []byte("uni")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Broadcast([]byte("bc")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-got:
+	case <-time.After(2 * time.Second):
+		t.Fatal("nothing arrived through the cached address")
+	}
+	for _, a := range tx.peers {
+		if n := counts[string(a)]; n != 1 {
+			t.Errorf("%s resolved %d times over 15 sends, want 1", a, n)
+		}
+	}
+}
+
+func TestUnresolvableAddressFailsEverySend(t *testing.T) {
+	counts := countResolves(t)
+	loop := NewLoop()
+	defer loop.Close()
+	c, err := Listen(loop, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const bad = env.Addr("127.0.0.1") // no port
+	first := c.SendTo(bad, []byte("x"))
+	if first == nil {
+		t.Fatal("send to an address without a port succeeded")
+	}
+	for i := 0; i < 3; i++ {
+		err := c.SendTo(bad, []byte("x"))
+		if err == nil || err.Error() != first.Error() {
+			t.Fatalf("send %d: error %v, want %v", i+2, err, first)
+		}
+	}
+	if n := counts[string(bad)]; n != 4 {
+		t.Errorf("unresolvable address looked up %d times, want 4 (failures are not cached)", n)
+	}
+}
+
+func TestConcurrentSendsShareResolveCache(t *testing.T) {
+	loop := NewLoop()
+	defer loop.Close()
+	c, err := Listen(loop, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.peers = []env.Addr{c.LocalAddr()}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := c.Broadcast([]byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

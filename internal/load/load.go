@@ -278,6 +278,9 @@ type Engine struct {
 	completions []Completion
 	buckets     []Bucket
 	byServer    map[string]uint64
+	// names interns responding server identities, so counting a response
+	// in byServer does not allocate a key string.
+	names map[string]string
 }
 
 // clientState is one simulated client. Its callbacks are allocated once at
@@ -322,6 +325,7 @@ func New(h *netsim.Host, cfg Config) (*Engine, error) {
 		m:        Register(cfg.Metrics),
 		payload:  make([]byte, cfg.PayloadSize),
 		byServer: map[string]uint64{},
+		names:    map[string]string{},
 	}
 	e.clients = make([]*clientState, cfg.Clients)
 	for i := range e.clients {
@@ -430,10 +434,17 @@ func (e *Engine) scheduleArrival() {
 		return
 	}
 	gap := time.Duration(e.rng.ExpFloat64() * float64(time.Second) / e.cfg.RPS)
-	e.host.AfterFunc(gap, e.arrival)
+	e.host.Post(gap, (*arrival)(e))
 }
 
-func (e *Engine) arrival() {
+// arrival is the engine viewed as the open-loop arrival event. Posting the
+// converted pointer schedules the next request with no closure or timer.
+type arrival Engine
+
+// Run issues one open-loop request and schedules the next arrival.
+func (a *arrival) Run() { (*Engine)(a).arrive() }
+
+func (e *Engine) arrive() {
 	if !e.running {
 		return
 	}
@@ -510,7 +521,12 @@ func (cs *clientState) handleResp(resp []byte, rtt time.Duration, err error) {
 		} else {
 			e.record(ClassStale, rtt)
 		}
-		e.byServer[string(resp)]++
+		name, ok := e.names[string(resp)]
+		if !ok {
+			name = string(resp)
+			e.names[name] = name
+		}
+		e.byServer[name]++
 		if e.cfg.Mode == Closed {
 			e.host.AfterFunc(e.cfg.ThinkTime, cs.thinkFn)
 		}

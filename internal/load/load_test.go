@@ -242,3 +242,33 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("same seed diverged: totals %d/%d, buckets %d/%d", t1, t2, b1, b2)
 	}
 }
+
+// TestOpenLoopArrivalDoesNotAllocate pins the open-loop arrival cycle —
+// the gap draw, the host-gated Post and the arrival firing and
+// rescheduling itself — at zero allocations in steady state. Every client
+// is held mid-dial so arrivals only queue and no request traffic runs.
+func TestOpenLoopArrivalDoesNotAllocate(t *testing.T) {
+	r := newRig(t, 6)
+	e, err := New(r.client, Config{Clients: 4, Mode: Open, RPS: 1000, Target: r.target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range e.clients {
+		cs.dialing = true
+	}
+	e.Start()
+	for i := 0; i < 10; i++ {
+		r.s.Step()
+	}
+	fired := r.s.Fired()
+	if avg := testing.AllocsPerRun(1000, func() { r.s.Step() }); avg != 0 {
+		t.Fatalf("open-loop arrival allocates %.2f objects, want 0", avg)
+	}
+	queued := 0
+	for _, cs := range e.clients {
+		queued += cs.queued
+	}
+	if got := r.s.Fired() - fired; got != 1001 || queued != 1011 {
+		t.Fatalf("fired %d events and queued %d arrivals, want 1001 and 1011", got, queued)
+	}
+}

@@ -159,6 +159,41 @@ func (h *Host) AfterFunc(d time.Duration, f func()) env.Timer {
 	})
 }
 
+// Post is the allocation-free form of AfterFunc for high-rate callers: it
+// schedules r d from now plus one jitter draw, skips it if the host is down
+// when it fires, and returns no handle, so the event cannot be cancelled.
+// The RNG and sequence use are the same as AfterFunc's.
+func (h *Host) Post(d time.Duration, r sim.Runnable) {
+	n := h.net
+	var j *hostJob
+	if l := len(n.freeHostJobs); l > 0 {
+		j = n.freeHostJobs[l-1]
+		n.freeHostJobs[l-1] = nil
+		n.freeHostJobs = n.freeHostJobs[:l-1]
+	} else {
+		j = &hostJob{}
+	}
+	j.h, j.r = h, r
+	n.sim.Post(d+h.jitter(), j)
+}
+
+// hostJob is the pooled, host-gated wrapper Post schedules.
+type hostJob struct {
+	h *Host
+	r sim.Runnable
+}
+
+// Run recycles the job before running the callback, so a callback that
+// posts again reuses it.
+func (j *hostJob) Run() {
+	h, r := j.h, j.r
+	j.h, j.r = nil, nil
+	h.net.freeHostJobs = append(h.net.freeHostJobs, j)
+	if h.alive {
+		r.Run()
+	}
+}
+
 var _ env.Clock = (*Host)(nil)
 
 // NIC is a network interface: one MAC, one subnet, and a set of IPv4
@@ -745,7 +780,9 @@ func (h *Host) receiveIP(nic *NIC, fr frame) {
 }
 
 func (h *Host) forward(p *ipPacket) {
-	h.net.emitTrace(TraceEvent{Kind: TraceForward, Host: h.name, SrcIP: p.src, DstIP: p.dst})
+	if h.net.trace != nil {
+		h.net.emitTrace(TraceEvent{Kind: TraceForward, Host: h.name, SrcIP: p.src, DstIP: p.dst})
+	}
 	if p.ttl <= 1 {
 		h.net.log.Logf("netsim: %s: TTL expired for %v -> %v", h.name, p.src, p.dst)
 		if p.owned {

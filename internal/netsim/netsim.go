@@ -112,9 +112,10 @@ type Network struct {
 	// Freelists for the zero-allocation traffic fast path. The simulation
 	// loop is single-goroutine, so plain slices suffice — no locking, no
 	// sync.Pool churn.
-	freePackets []*ipPacket
-	freeBufs    [][]byte
-	freeJobs    []*deliveryJob
+	freePackets  []*ipPacket
+	freeBufs     [][]byte
+	freeJobs     []*deliveryJob
+	freeHostJobs []*hostJob
 }
 
 // maxPooledBuf caps the payload buffers the network keeps; anything larger
@@ -313,7 +314,9 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 		s.mFrameLatency = s.net.metrics.Histogram("netsim_frame_latency_seconds",
 			"one-way frame latency drawn for each scheduled delivery, including receiver jitter", seg)
 	}
-	s.net.emitTrace(traceOf(s, fr, TraceSend, src.host.name))
+	if s.net.trace != nil {
+		s.net.emitTrace(traceOf(s, fr, TraceSend, src.host.name))
+	}
 	// Transmit-side impairment: the frame dies at the sending NIC, before
 	// any receiver sees it. Gated on the knob so un-impaired runs draw the
 	// same RNG sequence as ever.
@@ -322,7 +325,9 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 		s.net.log.Logf("netsim: %s impaired tx drop %s -> %s", s.name, fr.src, fr.dst)
 		s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
 			Node: src.host.name, Group: s.name, Detail: "tx-impair"})
-		s.net.emitTrace(traceOf(s, fr, TraceDrop, src.host.name))
+		if s.net.trace != nil {
+			s.net.emitTrace(traceOf(s, fr, TraceDrop, src.host.name))
+		}
 		return
 	}
 	for _, nic := range s.nics {
@@ -340,7 +345,9 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 			s.net.log.Logf("netsim: %s dropped frame %s -> %s", s.name, fr.src, fr.dst)
 			s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
 				Node: nic.host.name, Group: s.name})
-			s.net.emitTrace(traceOf(s, fr, TraceDrop, nic.host.name))
+			if s.net.trace != nil {
+				s.net.emitTrace(traceOf(s, fr, TraceDrop, nic.host.name))
+			}
 			continue
 		}
 		// Receive-side impairment, drawn after the segment's own loss so the
@@ -350,7 +357,9 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 			s.net.log.Logf("netsim: %s impaired rx drop %s -> %s", s.name, fr.src, fr.dst)
 			s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
 				Node: nic.host.name, Group: s.name, Detail: "rx-impair"})
-			s.net.emitTrace(traceOf(s, fr, TraceDrop, nic.host.name))
+			if s.net.trace != nil {
+				s.net.emitTrace(traceOf(s, fr, TraceDrop, nic.host.name))
+			}
 			continue
 		}
 		// Draw the latency exactly as before instrumentation existed (one
@@ -393,7 +402,9 @@ func (j *deliveryJob) Run() {
 
 	seg.mQueueDepth.Dec()
 	if nic.up && nic.host.alive {
-		seg.net.emitTrace(traceOf(seg, fr, TraceDeliver, nic.host.name))
+		if seg.net.trace != nil {
+			seg.net.emitTrace(traceOf(seg, fr, TraceDeliver, nic.host.name))
+		}
 		nic.host.receiveFrame(nic, fr)
 	} else if fr.kind == frameIPv4 && fr.pkt != nil && fr.pkt.owned {
 		// The receiver vanished between transmit and delivery; reclaim the

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -213,6 +214,83 @@ func TestCrashStopsTimers(t *testing.T) {
 	s.Run()
 	if !fired {
 		t.Fatal("timer did not fire after restart")
+	}
+}
+
+// recorder is a Runnable that logs the instant it runs.
+type recorder struct {
+	s   *sim.Sim
+	id  int
+	log *[]string
+}
+
+func (r *recorder) Run() { *r.log = append(*r.log, fmt.Sprintf("%d@%v", r.id, r.s.Elapsed())) }
+
+// TestHostPostMatchesAfterFunc pins Post to AfterFunc's schedule: the same
+// jitter draw at schedule time and the same sequence use, so swapping one
+// for the other moves no event and no later random draw.
+func TestHostPostMatchesAfterFunc(t *testing.T) {
+	run := func(usePost bool) ([]string, int64) {
+		s, _, _, hosts := lan(t, 9, 1)
+		h := hosts[0]
+		h.SetProcessingJitter(3 * time.Millisecond)
+		var log []string
+		for i := 0; i < 50; i++ {
+			r := &recorder{s: s, id: i, log: &log}
+			d := time.Duration(i%7) * time.Millisecond
+			if usePost {
+				h.Post(d, r)
+			} else {
+				h.AfterFunc(d, r.Run)
+			}
+		}
+		s.Run()
+		return log, s.Rand().Int63()
+	}
+	gotLog, gotNext := run(true)
+	wantLog, wantNext := run(false)
+	if fmt.Sprint(gotLog) != fmt.Sprint(wantLog) {
+		t.Fatalf("Post order %v\nAfterFunc order %v", gotLog, wantLog)
+	}
+	if gotNext != wantNext {
+		t.Fatal("Post and AfterFunc left the random source in different states")
+	}
+}
+
+func TestHostPostSkipsDownHost(t *testing.T) {
+	s, _, _, hosts := lan(t, 1, 1)
+	h := hosts[0]
+	var log []string
+	h.Post(time.Second, &recorder{s: s, id: 1, log: &log})
+	h.Crash()
+	s.Run()
+	if len(log) != 0 {
+		t.Fatalf("runnable ran on crashed host: %v", log)
+	}
+	h.Restart()
+	h.Post(time.Second, &recorder{s: s, id: 2, log: &log})
+	s.Run()
+	if len(log) != 1 {
+		t.Fatalf("runnable did not run after restart: %v", log)
+	}
+}
+
+type nopRunnable struct{}
+
+func (*nopRunnable) Run() {}
+
+func TestHostPostDoesNotAllocate(t *testing.T) {
+	s, _, _, hosts := lan(t, 1, 1)
+	h := hosts[0]
+	h.SetProcessingJitter(time.Millisecond)
+	r := &nopRunnable{}
+	h.Post(time.Millisecond, r)
+	s.Step()
+	if avg := testing.AllocsPerRun(1000, func() {
+		h.Post(time.Millisecond, r)
+		s.Step()
+	}); avg != 0 {
+		t.Fatalf("Host.Post+Step allocates %.2f objects, want 0", avg)
 	}
 }
 

@@ -66,11 +66,11 @@ func (e TraceEvent) String() string {
 // synchronously inside the simulation loop; keep it cheap.
 func (n *Network) SetPacketTrace(hook func(TraceEvent)) { n.trace = hook }
 
+// emitTrace stamps and hands ev to the hook. Callers check n.trace first so
+// that untraced runs never build the event.
 func (n *Network) emitTrace(ev TraceEvent) {
-	if n.trace != nil {
-		ev.At = n.sim.Now()
-		n.trace(ev)
-	}
+	ev.At = n.sim.Now()
+	n.trace(ev)
 }
 
 func traceOf(seg *Segment, fr frame, kind TraceKind, host string) TraceEvent {

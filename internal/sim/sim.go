@@ -7,8 +7,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -23,13 +23,17 @@ var Epoch = time.Date(2003, time.June, 22, 0, 0, 0, 0, time.UTC)
 // Sim is a discrete-event simulator. It is not safe for concurrent use; all
 // interaction must happen from the goroutine driving Run/Step, which is also
 // the goroutine on which scheduled callbacks execute.
+//
+// Deadlines are kept as nanoseconds since Epoch. Events run in
+// (deadline, insertion sequence) order; that order is total, so ties break
+// deterministically in FIFO order.
 type Sim struct {
-	now    time.Time
-	queue  eventQueue
-	seq    uint64
-	rng    *rand.Rand
-	fired  uint64
-	inStep bool
+	now   time.Time
+	nowNS int64 // now as nanoseconds since Epoch
+	queue eventQueue
+	seq   uint64
+	rng   *rand.Rand
+	fired uint64
 	// free recycles detached events (those scheduled with Post, which hand
 	// out no Timer and so cannot be referenced after firing). Pooling keeps
 	// the per-frame scheduling cost of busy traffic simulations
@@ -51,7 +55,7 @@ func (s *Sim) Now() time.Time { return s.now }
 
 // Elapsed returns how much virtual time has passed since the simulation
 // started.
-func (s *Sim) Elapsed() time.Duration { return s.now.Sub(Epoch) }
+func (s *Sim) Elapsed() time.Duration { return time.Duration(s.nowNS) }
 
 // Rand returns the simulator's seeded random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
@@ -61,17 +65,18 @@ func (s *Sim) Fired() uint64 { return s.fired }
 
 // Pending reports how many events are scheduled but not yet executed,
 // including cancelled timers that have not been collected.
-func (s *Sim) Pending() int { return s.queue.Len() }
+func (s *Sim) Pending() int { return len(s.queue) }
 
-// Timer is a handle to a scheduled event.
+// Timer is a handle to a scheduled event. The event record lives inside the
+// handle, so scheduling with At or After costs one allocation.
 type Timer struct {
-	ev *event
+	ev event
 }
 
 // Stop cancels the timer. It reports whether the call prevented the event
 // from firing.
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.cancelled || t.ev.done {
+	if t == nil || t.ev.fn == nil || t.ev.cancelled || t.ev.done {
 		return false
 	}
 	t.ev.cancelled = true
@@ -81,22 +86,22 @@ func (t *Timer) Stop() bool {
 // At schedules fn to run at instant t. Instants in the past run as soon as
 // control returns to the event loop, at the current virtual time.
 func (s *Sim) At(t time.Time, fn func()) *Timer {
-	if fn == nil {
-		panic("sim: At called with nil callback")
-	}
-	if t.Before(s.now) {
-		t = s.now
-	}
-	ev := &event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.queue, ev)
-	return &Timer{ev: ev}
+	return s.timer(t.Sub(Epoch), fn)
 }
 
 // After schedules fn to run d from the current virtual time. Negative
 // durations are treated as zero.
 func (s *Sim) After(d time.Duration, fn func()) *Timer {
-	return s.At(s.now.Add(d), fn)
+	return s.timer(s.deadline(d), fn)
+}
+
+func (s *Sim) timer(ns time.Duration, fn func()) *Timer {
+	if fn == nil {
+		panic("sim: timer scheduled with nil callback")
+	}
+	tm := &Timer{ev: event{fn: fn}}
+	s.schedule(ns, &tm.ev)
+	return tm
 }
 
 // Runnable is a pre-allocated scheduled callback for the Post fast path.
@@ -114,10 +119,6 @@ func (s *Sim) Post(d time.Duration, r Runnable) {
 	if r == nil {
 		panic("sim: Post called with nil Runnable")
 	}
-	at := s.now.Add(d)
-	if at.Before(s.now) {
-		at = s.now
-	}
 	var ev *event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
@@ -126,13 +127,29 @@ func (s *Sim) Post(d time.Duration, r Runnable) {
 	} else {
 		ev = &event{}
 	}
-	ev.at = at
-	ev.seq = s.seq
 	ev.run = r
-	ev.cancelled = false
-	ev.done = false
+	s.schedule(s.deadline(d), ev)
+}
+
+// deadline returns now+d in nanoseconds since Epoch, saturating instead of
+// overflowing for durations that reach past the representable range (about
+// 292 years from Epoch).
+func (s *Sim) deadline(d time.Duration) time.Duration {
+	if d > 0 && s.nowNS > math.MaxInt64-int64(d) {
+		return math.MaxInt64
+	}
+	return time.Duration(s.nowNS) + d
+}
+
+// schedule queues ev at ns nanoseconds since Epoch, clamped to now, under
+// the next insertion sequence number.
+func (s *Sim) schedule(ns time.Duration, ev *event) {
+	at := int64(ns)
+	if at < s.nowNS {
+		at = s.nowNS
+	}
+	s.queue.push(slot{at: at, seq: s.seq, ev: ev})
 	s.seq++
-	heap.Push(&s.queue, ev)
 }
 
 // AfterFunc adapts After to the env.Clock interface, so a bare simulator can
@@ -146,23 +163,26 @@ var _ env.Clock = (*Sim)(nil)
 // Step executes the next pending event, advancing virtual time to its
 // deadline. It reports whether an event was executed.
 func (s *Sim) Step() bool {
-	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*event)
+	for len(s.queue) > 0 {
+		top := s.queue.pop()
+		ev := top.ev
 		if ev.cancelled {
 			continue
 		}
-		if ev.at.Before(s.now) {
-			panic(fmt.Sprintf("sim: event scheduled at %v before now %v", ev.at, s.now))
+		if top.at < s.nowNS {
+			panic(fmt.Sprintf("sim: event scheduled at %v before now %v",
+				Epoch.Add(time.Duration(top.at)), s.now))
 		}
-		s.now = ev.at
+		if top.at != s.nowNS {
+			s.nowNS = top.at
+			s.now = Epoch.Add(time.Duration(top.at))
+		}
 		ev.done = true
 		s.fired++
-		if ev.run != nil {
+		if r := ev.run; r != nil {
 			// Detached event: recycle the record before running so nested
 			// Posts can reuse it immediately.
-			r := ev.run
 			ev.run = nil
-			ev.fn = nil
 			s.free = append(s.free, ev)
 			r.Run()
 			return true
@@ -182,15 +202,17 @@ func (s *Sim) Run() {
 // RunUntil executes events with deadlines at or before t, then advances the
 // clock to exactly t. Events scheduled beyond t remain pending.
 func (s *Sim) RunUntil(t time.Time) {
+	limit := int64(t.Sub(Epoch))
 	for {
-		ev := s.queue.peekLive()
-		if ev == nil || ev.at.After(t) {
+		top, ok := s.queue.peekLive()
+		if !ok || top.at > limit {
 			break
 		}
 		s.Step()
 	}
 	if t.After(s.now) {
 		s.now = t
+		s.nowNS = limit
 	}
 }
 
@@ -199,48 +221,90 @@ func (s *Sim) RunFor(d time.Duration) {
 	s.RunUntil(s.now.Add(d))
 }
 
+// event is one scheduled callback: fn for timers (At/After), run for
+// detached Post events.
 type event struct {
-	at        time.Time
-	seq       uint64
 	fn        func()
-	run       Runnable // set instead of fn for detached (Post) events
+	run       Runnable
 	cancelled bool
 	done      bool
 }
 
-// eventQueue is a min-heap ordered by (deadline, insertion sequence) so that
-// ties break deterministically in FIFO order.
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
-	}
-	return q[i].seq < q[j].seq
+// slot is one queue entry. The ordering key sits in the entry itself so
+// sifting compares plain integers without touching the event.
+type slot struct {
+	at  int64 // deadline, nanoseconds since Epoch
+	seq uint64
+	ev  *event
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+func (a slot) less(b slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (q *eventQueue) peekLive() *event {
-	for q.Len() > 0 {
-		ev := (*q)[0]
-		if !ev.cancelled {
-			return ev
+// eventQueue is a 4-ary min-heap of slots ordered by (deadline, sequence).
+// The wider fan-out halves the tree depth of a binary heap, so a pop does
+// fewer levels of sifting over entries that share cache lines.
+type eventQueue []slot
+
+func (q *eventQueue) push(x slot) {
+	h := append(*q, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(h[p]) {
+			break
 		}
-		heap.Pop(q)
+		h[i] = h[p]
+		i = p
 	}
-	return nil
+	h[i] = x
+	*q = h
+}
+
+func (q *eventQueue) pop() slot {
+	h := *q
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = slot{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			end := c + 4
+			if end > n {
+				end = n
+			}
+			for j := c + 1; j < end; j++ {
+				if h[j].less(h[m]) {
+					m = j
+				}
+			}
+			if !h[m].less(last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
+}
+
+// peekLive discards cancelled events from the top of the queue and returns
+// the earliest live one, if any.
+func (q *eventQueue) peekLive() (slot, bool) {
+	for len(*q) > 0 {
+		if top := (*q)[0]; !top.ev.cancelled {
+			return top, true
+		}
+		q.pop()
+	}
+	return slot{}, false
 }
