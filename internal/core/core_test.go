@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,10 +24,46 @@ type harness struct {
 	engines  map[core.MemberID]*core.Engine
 	backends map[core.MemberID]*ipmgr.FakeBackend
 	mgrs     map[core.MemberID]*ipmgr.Manager
-	events   map[core.MemberID][]core.Event
+	owns     map[core.MemberID][]ownChange
+	logs     map[core.MemberID]*logLines
 	comp     map[core.MemberID]int
 	queue    []qmsg
 	viewN    int
+}
+
+// ownChange is one ownership-hook callback: group acquired (owned) or
+// released.
+type ownChange struct {
+	group string
+	owned bool
+}
+
+// releases counts the ownership-hook releases recorded for id.
+func (h *harness) releases(id core.MemberID) int {
+	n := 0
+	for _, c := range h.owns[id] {
+		if !c.owned {
+			n++
+		}
+	}
+	return n
+}
+
+// logLines is an env.Logger that keeps every formatted line.
+type logLines struct{ lines []string }
+
+func (l *logLines) Logf(format string, args ...any) {
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// contains reports whether any logged line contains sub.
+func (l *logLines) contains(sub string) bool {
+	for _, line := range l.lines {
+		if strings.Contains(line, sub) {
+			return true
+		}
+	}
+	return false
 }
 
 type qmsg struct {
@@ -60,7 +97,8 @@ func newHarnessCfg(t testing.TB, n int, cfgFor func(i int) core.Config) *harness
 		engines:  map[core.MemberID]*core.Engine{},
 		backends: map[core.MemberID]*ipmgr.FakeBackend{},
 		mgrs:     map[core.MemberID]*ipmgr.Manager{},
-		events:   map[core.MemberID][]core.Event{},
+		owns:     map[core.MemberID][]ownChange{},
+		logs:     map[core.MemberID]*logLines{},
 		comp:     map[core.MemberID]int{},
 	}
 	for i := 0; i < n; i++ {
@@ -68,16 +106,20 @@ func newHarnessCfg(t testing.TB, n int, cfgFor func(i int) core.Config) *harness
 		h.members = append(h.members, id)
 		be := &ipmgr.FakeBackend{}
 		mgr := ipmgr.New(be)
+		h.logs[id] = &logLines{}
 		e, err := core.NewEngine(cfgFor(i), core.Deps{
 			Self:  id,
 			Cast:  func(p []byte) error { h.queue = append(h.queue, qmsg{from: id, payload: p}); return nil },
 			IPs:   mgr,
 			Clock: h.sim,
+			Log:   h.logs[id],
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetEventHook(func(ev core.Event) { h.events[id] = append(h.events[id], ev) })
+		e.AddOwnershipHook(func(g string, owned bool, _ string) {
+			h.owns[id] = append(h.owns[id], ownChange{group: g, owned: owned})
+		})
 		e.Start()
 		h.engines[id] = e
 		h.backends[id] = be
@@ -251,6 +293,10 @@ func TestMergeResolvesAllConflicts(t *testing.T) {
 	b := []core.MemberID{h.members[2], h.members[3]}
 	h.setPartition(a, b)
 	h.pump()
+	before := map[core.MemberID]int{}
+	for _, id := range h.members {
+		before[id] = len(h.owns[id])
+	}
 	h.setPartition(h.all())
 	h.pump()
 	h.checkComponent(h.all(), true)
@@ -262,17 +308,20 @@ func TestMergeResolvesAllConflicts(t *testing.T) {
 	if total != 8 {
 		t.Fatalf("after merge %d groups held in total, want 8", total)
 	}
-	// Conflicts must actually have been detected and dropped.
-	drops := 0
+	// Both sides covered every group, so the merged component must have
+	// released each of them exactly once to resolve the conflicts.
+	released := map[string]int{}
 	for _, id := range h.members {
-		for _, ev := range h.events[id] {
-			if ev.Kind == core.EventConflictDrop {
-				drops++
+		for _, c := range h.owns[id][before[id]:] {
+			if !c.owned {
+				released[c.group]++
 			}
 		}
 	}
-	if drops == 0 {
-		t.Fatal("merge of two full coverages produced no conflict drops")
+	for _, g := range groups(8) {
+		if released[g.Name] != 1 {
+			t.Fatalf("merge released %s %d times, want 1 (releases %v)", g.Name, released[g.Name], released)
+		}
 	}
 }
 
@@ -614,16 +663,9 @@ func TestLazyConflictReleaseDelaysDrop(t *testing.T) {
 	if len(h.engines[a].Snapshot().Owned) != 0 || len(h.engines[b].Snapshot().Owned) != 1 {
 		t.Fatal("lazy conflict release reached a different final state")
 	}
-	// But the release event must come after both state messages, i.e. the
-	// conflict-drop event precedes the release in a's log with reallocation
-	// in between; minimally: a released exactly once.
-	releases := 0
-	for _, ev := range h.events[a] {
-		if ev.Kind == core.EventRelease {
-			releases++
-		}
-	}
-	if releases != 1 {
+	// The release waits for the end of GATHER instead of following the
+	// conflict immediately; minimally: a released exactly once.
+	if releases := h.releases(a); releases != 1 {
 		t.Fatalf("a released %d times, want 1", releases)
 	}
 }
@@ -651,14 +693,8 @@ func TestAcquireFailureSurfacesAsEvent(t *testing.T) {
 	}
 	h.setPartition(h.all())
 	h.pump()
-	foundErr := false
-	for _, ev := range h.events[id] {
-		if ev.Kind == core.EventError {
-			foundErr = true
-		}
-	}
-	if !foundErr {
-		t.Fatal("acquire failure produced no error event")
+	if !h.logs[id].contains("acquire 10.0.1.1 (vip00): ipmgr: acquire 10.0.1.1: injected failure") {
+		t.Fatalf("acquire failure not logged: %q", h.logs[id].lines)
 	}
 }
 

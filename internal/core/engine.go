@@ -90,11 +90,10 @@ type Engine struct {
 	balanceTimer env.Timer
 	matureTimer  env.Timer
 
-	hook     func(Event)
-	viewHook func(View)
-	ownHook  func(group string, owned bool, viewID string)
-	tracer   *obs.Tracer
-	stats    engineCounters
+	viewHooks []func(View)
+	ownHooks  []func(group string, owned bool, viewID string)
+	tracer    *obs.Tracer
+	stats     engineCounters
 
 	// Latency instruments (nil when no registry is installed; a nil
 	// histogram's Observe is a zero-allocation no-op). gatherStart is
@@ -226,52 +225,27 @@ func NewEngine(cfg Config, deps Deps) (*Engine, error) {
 	return e, nil
 }
 
-// SetEventHook registers an observer for engine transitions (experiments
-// and tests use it to timestamp reallocation).
-func (e *Engine) SetEventHook(h func(Event)) { e.hook = h }
-
-// SetViewHook registers a typed observer that runs once per view the engine
-// installs, after the view is recorded but before any STATE_MSG exchange.
-// Unlike the stringly-typed event hook it receives the full membership list,
-// which is what protocol checkers need to compare installation order across
-// engines. The handler receives a private copy; nil (the default) costs
-// nothing. Call before Start.
-func (e *Engine) SetViewHook(h func(View)) { e.viewHook = h }
-
-// SetOwnershipHook registers a typed observer for address-group ownership
-// transitions: it runs after every successful acquire (owned=true) and
-// release (owned=false) with the ID of the view the engine held at that
-// moment (empty when detached). Nil (the default) costs nothing. Call
-// before Start.
-func (e *Engine) SetOwnershipHook(h func(group string, owned bool, viewID string)) {
-	e.ownHook = h
-}
-
-// AddViewHook chains h after any previously registered view hook, so
-// independent observers (invariant monitor, flight recorder) can coexist
-// without clobbering each other. Call before Start.
+// AddViewHook subscribes h to every view the engine installs: it runs after
+// the view is recorded but before any STATE_MSG exchange, with the full
+// membership list, which is what protocol checkers need to compare
+// installation order across engines. Subscribers run in registration order
+// and share one private copy of the member list; adding nil is a no-op.
+// Call before Start.
 func (e *Engine) AddViewHook(h func(View)) {
-	if h == nil {
-		return
+	if h != nil {
+		e.viewHooks = append(e.viewHooks, h)
 	}
-	if prev := e.viewHook; prev != nil {
-		e.viewHook = func(v View) { prev(v); h(v) }
-		return
-	}
-	e.viewHook = h
 }
 
-// AddOwnershipHook chains h after any previously registered ownership hook.
+// AddOwnershipHook subscribes h to address-group ownership transitions: it
+// runs after every successful acquire (owned=true) and release (owned=false)
+// with the ID of the view the engine held at that moment (empty when
+// detached). Subscribers run in registration order; adding nil is a no-op.
 // Call before Start.
 func (e *Engine) AddOwnershipHook(h func(group string, owned bool, viewID string)) {
-	if h == nil {
-		return
+	if h != nil {
+		e.ownHooks = append(e.ownHooks, h)
 	}
-	if prev := e.ownHook; prev != nil {
-		e.ownHook = func(g string, owned bool, viewID string) { prev(g, owned, viewID); h(g, owned, viewID) }
-		return
-	}
-	e.ownHook = h
 }
 
 // SetNotifier replaces the ownership-change notifier. Applications that
@@ -282,12 +256,6 @@ func (e *Engine) SetNotifier(n arp.Notifier) {
 		n = arp.NopNotifier{}
 	}
 	e.deps.Notify = n
-}
-
-func (e *Engine) emit(k EventKind, group, detail string) {
-	if e.hook != nil {
-		e.hook(Event{Kind: k, Group: group, Detail: detail})
-	}
 }
 
 // Start arms the maturity bootstrap (§3.4): a fresh server manages no
@@ -346,8 +314,11 @@ func (e *Engine) OnView(v View) {
 	}
 	e.view = View{ID: v.ID, Members: append([]MemberID(nil), v.Members...)}
 	e.gatherStart = e.deps.Clock.Now()
-	if e.viewHook != nil {
-		e.viewHook(View{ID: v.ID, Members: append([]MemberID(nil), v.Members...)})
+	if len(e.viewHooks) > 0 {
+		hv := View{ID: v.ID, Members: append([]MemberID(nil), v.Members...)}
+		for _, h := range e.viewHooks {
+			h(hv)
+		}
 	}
 	if e.tracer.Enabled() {
 		e.trace(obs.KindViewChange, v.ID, "", fmt.Sprintf("members=%d", len(v.Members)))
@@ -374,7 +345,6 @@ func (e *Engine) castState() {
 	msg := stateMsg{ViewID: e.view.ID, Mature: e.mature, Owned: owned, Prefer: e.cfg.Prefer}
 	if err := e.deps.Cast(msg.encode()); err != nil {
 		e.deps.Log.Logf("wackamole %s: cast state: %v", e.deps.Self, err)
-		e.emit(EventError, "", fmt.Sprintf("cast state: %v", err))
 	}
 }
 
@@ -408,7 +378,7 @@ func (e *Engine) onState(from MemberID, m stateMsg) {
 	e.trace(obs.KindStateRecv, m.ViewID, "", string(from))
 	if m.Mature && !e.mature {
 		// Contact with a mature server matures this one (§3.4).
-		e.becomeMature("state message from " + string(from))
+		e.becomeMature()
 	}
 	for _, g := range m.Owned {
 		if _, known := e.groupsByName[g]; !known {
@@ -438,7 +408,6 @@ func (e *Engine) onState(from MemberID, m stateMsg) {
 			msg := balanceMsg{ViewID: e.view.ID, Alloc: e.computeReallocation()}
 			if err := e.deps.Cast(msg.encodeAs(kindAlloc)); err != nil {
 				e.deps.Log.Logf("wackamole %s: cast alloc: %v", e.deps.Self, err)
-				e.emit(EventError, "", fmt.Sprintf("cast alloc: %v", err))
 			}
 		}
 		return
@@ -504,7 +473,6 @@ func (e *Engine) claim(g string, from MemberID) {
 	}
 	e.table[g] = winner
 	e.noteOwner(g, winner)
-	e.emit(EventConflictDrop, g, fmt.Sprintf("%s yields to %s", loser, winner))
 	if loser == e.deps.Self && e.owned[g] {
 		if e.cfg.LazyConflictRelease {
 			e.pendingDrops = append(e.pendingDrops, g)
@@ -581,7 +549,6 @@ func (e *Engine) onBalance(from MemberID, m balanceMsg) {
 	}
 	e.updateSkew()
 	e.trace(obs.KindBalanceApply, e.view.ID, "", string(from))
-	e.emit(EventBalanceApplied, "", string(from))
 	e.armBalance()
 }
 
@@ -597,7 +564,7 @@ func (e *Engine) onMature(from MemberID, m matureMsg) {
 		e.matureOf[member] = true
 	}
 	if !e.mature {
-		e.becomeMature("mature announcement from " + string(from))
+		e.becomeMature()
 	}
 	if !already {
 		e.reallocateUncoveredInRun()
@@ -641,18 +608,17 @@ func (e *Engine) ResetMaturity() {
 	e.matureTimer = e.deps.Clock.AfterFunc(e.cfg.matureTimeout(), e.onMatureTimeout)
 }
 
-func (e *Engine) becomeMature(why string) {
+func (e *Engine) becomeMature() {
 	e.mature = true
 	stopTimer(e.matureTimer)
 	e.matureTimer = nil
-	e.emit(EventMatured, "", why)
 }
 
 func (e *Engine) onMatureTimeout() {
 	if e.mature {
 		return
 	}
-	e.becomeMature("maturity timeout")
+	e.becomeMature()
 	if e.state == StateRun && !e.matureOf[e.deps.Self] {
 		e.castMature()
 	}
@@ -702,7 +668,6 @@ func (e *Engine) setState(s State) {
 		}
 		e.trace(obs.KindRunEnter, e.view.ID, "", "")
 	}
-	e.emit(EventStateChange, "", s.String())
 }
 
 func (e *Engine) acquireGroup(g, why string) {
@@ -710,7 +675,6 @@ func (e *Engine) acquireGroup(g, why string) {
 	for _, a := range grp.Addrs {
 		if err := e.deps.IPs.Acquire(a); err != nil {
 			e.deps.Log.Logf("wackamole %s: acquire %v (%s): %v", e.deps.Self, a, g, err)
-			e.emit(EventError, g, fmt.Sprintf("acquire %v: %v", a, err))
 			continue
 		}
 		e.stats.acquires.Add(1)
@@ -727,10 +691,9 @@ func (e *Engine) acquireGroup(g, why string) {
 		e.deps.Notify.Announce(a)
 	}
 	e.owned[g] = true
-	if e.ownHook != nil {
-		e.ownHook(g, true, e.view.ID)
+	for _, h := range e.ownHooks {
+		h(g, true, e.view.ID)
 	}
-	e.emit(EventAcquire, g, why)
 }
 
 func (e *Engine) releaseGroup(g, why string) {
@@ -738,7 +701,6 @@ func (e *Engine) releaseGroup(g, why string) {
 	for _, a := range grp.Addrs {
 		if err := e.deps.IPs.Release(a); err != nil {
 			e.deps.Log.Logf("wackamole %s: release %v (%s): %v", e.deps.Self, a, g, err)
-			e.emit(EventError, g, fmt.Sprintf("release %v: %v", a, err))
 			continue
 		}
 		e.stats.releases.Add(1)
@@ -748,10 +710,9 @@ func (e *Engine) releaseGroup(g, why string) {
 		e.deps.Notify.Withdraw(a)
 	}
 	delete(e.owned, g)
-	if e.ownHook != nil {
-		e.ownHook(g, false, e.view.ID)
+	for _, h := range e.ownHooks {
+		h(g, false, e.view.ID)
 	}
-	e.emit(EventRelease, g, why)
 }
 
 // representative returns the member that executes the re-balancing

@@ -10,10 +10,11 @@ import (
 	"wackamole/internal/arp"
 	"wackamole/internal/core"
 	"wackamole/internal/ipmgr"
+	"wackamole/internal/obs"
 	"wackamole/internal/sim"
 )
 
-func TestStateAndEventStrings(t *testing.T) {
+func TestStateStrings(t *testing.T) {
 	for want, s := range map[string]core.State{
 		"detached": core.StateDetached, "gather": core.StateGather, "run": core.StateRun,
 	} {
@@ -23,21 +24,6 @@ func TestStateAndEventStrings(t *testing.T) {
 	}
 	if core.State(99).String() == "" {
 		t.Fatal("unknown state empty")
-	}
-	kinds := []core.EventKind{
-		core.EventStateChange, core.EventAcquire, core.EventRelease,
-		core.EventConflictDrop, core.EventBalanceApplied, core.EventMatured, core.EventError,
-	}
-	seen := map[string]bool{}
-	for _, k := range kinds {
-		s := k.String()
-		if s == "" || seen[s] {
-			t.Fatalf("EventKind %d string %q duplicated or empty", k, s)
-		}
-		seen[s] = true
-	}
-	if core.EventKind(99).String() == "" {
-		t.Fatal("unknown event kind empty")
 	}
 }
 
@@ -79,14 +65,8 @@ func TestReleaseFailureSurfacesAsEvent(t *testing.T) {
 	h.pump()
 	// Force a release via disconnect.
 	h.engines[a].OnDisconnect()
-	foundErr := false
-	for _, ev := range h.events[a] {
-		if ev.Kind == core.EventError {
-			foundErr = true
-		}
-	}
-	if !foundErr {
-		t.Fatal("release failure produced no error event")
+	if !h.logs[a].contains("release 10.0.1.1 (vip00): ipmgr: release 10.0.1.1: stuck address") {
+		t.Fatalf("release failure not logged: %q", h.logs[a].lines)
 	}
 }
 
@@ -121,14 +101,9 @@ func TestBalanceTimerNoCastWhenAlreadyBalanced(t *testing.T) {
 		t.Fatalf("balanced cluster cast %d messages on the balance timer", len(h.queue))
 	}
 	// And the timer re-armed: skew it later and verify balancing happens.
-	balances := 0
+	tr := obs.New(1024, nil)
 	for _, id := range h.members {
-		id := id
-		h.engines[id].SetEventHook(func(ev core.Event) {
-			if ev.Kind == core.EventBalanceApplied {
-				balances++
-			}
-		})
+		h.engines[id].SetTracer(tr)
 	}
 	// Isolate both: each covers everything; the merge hands all conflicted
 	// groups to the later member, leaving a 0/4 skew for the balancer.
@@ -141,6 +116,12 @@ func TestBalanceTimerNoCastWhenAlreadyBalanced(t *testing.T) {
 		t.Fatalf("setup: expected full skew, got %v", counts)
 	}
 	h.runFor(4 * time.Second)
+	balances := 0
+	for _, ev := range tr.Snapshot() {
+		if ev.Kind == obs.KindBalanceApply {
+			balances++
+		}
+	}
 	if balances == 0 {
 		t.Fatal("skewed cluster never rebalanced after a re-armed timer")
 	}
@@ -161,27 +142,21 @@ func TestMatureTimeoutDefaultApplied(t *testing.T) {
 
 func TestCastFailureEmitsErrorEvent(t *testing.T) {
 	clock := sim.New(1)
-	var events []core.Event
+	log := &logLines{}
 	e, err := core.NewEngine(matureConfig(2), core.Deps{
 		Self:  "m00",
 		Cast:  func([]byte) error { return errors.New("network unplugged") },
 		IPs:   ipmgr.New(&ipmgr.FakeBackend{}),
 		Clock: clock,
+		Log:   log,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetEventHook(func(ev core.Event) { events = append(events, ev) })
 	e.Start()
 	e.OnView(core.View{ID: "v1", Members: []core.MemberID{"m00"}})
-	foundErr := false
-	for _, ev := range events {
-		if ev.Kind == core.EventError {
-			foundErr = true
-		}
-	}
-	if !foundErr {
-		t.Fatal("cast failure produced no error event")
+	if !log.contains("cast state: network unplugged") {
+		t.Fatalf("cast failure not logged: %q", log.lines)
 	}
 }
 
@@ -273,5 +248,33 @@ func TestOwnedSortedInSnapshot(t *testing.T) {
 	want := fmt.Sprintf("vip%02d", 0)
 	if owned[0] != want {
 		t.Fatalf("owned[0] = %q, want %q", owned[0], want)
+	}
+}
+
+// TestHookSubscribersRunInOrder pins the subscriber-list contract of the
+// view and ownership hooks: every subscriber fires, in registration order,
+// and adding nil registers nothing.
+func TestHookSubscribersRunInOrder(t *testing.T) {
+	h := newHarness(t, 1, matureConfig(1))
+	e := h.engines[h.members[0]]
+	var calls []string
+	e.AddViewHook(nil)
+	e.AddOwnershipHook(nil)
+	for _, name := range []string{"first", "second"} {
+		e.AddViewHook(func(v core.View) { calls = append(calls, name+" view "+v.ID) })
+		e.AddOwnershipHook(func(g string, owned bool, viewID string) {
+			calls = append(calls, fmt.Sprintf("%s own %s %v %s", name, g, owned, viewID))
+		})
+	}
+	h.setPartition(h.all())
+	h.pump()
+	e.OnDisconnect()
+	want := []string{
+		"first view v1.0", "second view v1.0",
+		"first own vip00 true v1.0", "second own vip00 true v1.0",
+		"first own vip00 false v1.0", "second own vip00 false v1.0",
+	}
+	if fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Fatalf("hook calls = %q, want %q", calls, want)
 	}
 }

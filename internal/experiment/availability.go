@@ -147,9 +147,9 @@ type AvailabilityConfig struct {
 	// Ignored for instantaneous faults.
 	GrayWindow time.Duration
 	// Placement names the VIP placement policy every server runs
-	// (placement.Names(); "" means least-loaded, the paper's rule). The
-	// rolling fault compares policies with it; it applies to every web
-	// trial.
+	// (placement.NameLeastLoaded or placement.NameMinimal; "" means
+	// least-loaded, the paper's rule). The rolling fault compares policies
+	// with it; it applies to every web trial.
 	Placement string
 	// RollingGap is the settle period after each drain and each rejoin of
 	// the rolling schedule (default 2s). Rolling trials shorten the engines'

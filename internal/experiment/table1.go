@@ -48,7 +48,7 @@ func Table1Trial(seed int64, n int, cfg gcs.Config) (runner.Sample, error) {
 
 	var installedAt time.Duration
 	observer := c.Servers[0].Node.Daemon()
-	observer.SetMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) {
+	observer.AddMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) {
 		if len(members) == n-1 && installedAt == 0 {
 			installedAt = c.Sim.Elapsed()
 		}

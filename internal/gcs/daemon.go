@@ -105,8 +105,8 @@ type Daemon struct {
 	earlyRec []func(*Daemon)
 
 	groups       *groupLayer
-	onMembership MembershipHandler
-	onDelivery   DeliveryHandler
+	onMembership []MembershipHandler
+	onDelivery   []DeliveryHandler
 	onDetection  DetectionHook
 	tracer       *obs.Tracer
 	hlc          *obs.HLCClock
@@ -302,38 +302,22 @@ func (d *Daemon) Stop() {
 	}
 }
 
-// SetMembershipHandler registers cb to run at every daemon-level membership
-// installation.
-func (d *Daemon) SetMembershipHandler(cb MembershipHandler) { d.onMembership = cb }
-
-// SetDeliveryHandler registers cb to run at every Agreed delivery. A nil
-// handler (the default) costs nothing on the delivery path.
-func (d *Daemon) SetDeliveryHandler(cb DeliveryHandler) { d.onDelivery = cb }
-
-// AddMembershipHandler chains cb after any previously registered membership
-// handler, letting independent observers coexist. Call before Start.
+// AddMembershipHandler subscribes cb to every daemon-level membership
+// installation. Subscribers run in registration order and share one private
+// copy of the member list; adding nil is a no-op. Call before Start.
 func (d *Daemon) AddMembershipHandler(cb MembershipHandler) {
-	if cb == nil {
-		return
+	if cb != nil {
+		d.onMembership = append(d.onMembership, cb)
 	}
-	if prev := d.onMembership; prev != nil {
-		d.onMembership = func(ring RingID, members []DaemonID) { prev(ring, members); cb(ring, members) }
-		return
-	}
-	d.onMembership = cb
 }
 
-// AddDeliveryHandler chains cb after any previously registered delivery
-// handler. Call before Start.
+// AddDeliveryHandler subscribes cb to every Agreed delivery. Subscribers run
+// in registration order; with none registered the delivery path costs
+// nothing extra, and adding nil is a no-op. Call before Start.
 func (d *Daemon) AddDeliveryHandler(cb DeliveryHandler) {
-	if cb == nil {
-		return
+	if cb != nil {
+		d.onDelivery = append(d.onDelivery, cb)
 	}
-	if prev := d.onDelivery; prev != nil {
-		d.onDelivery = func(r RingID, seq uint64, origin DaemonID) { prev(r, seq, origin); cb(r, seq, origin) }
-		return
-	}
-	d.onDelivery = cb
 }
 
 // State returns the daemon's protocol state name (for tests and tooling).
@@ -1062,8 +1046,8 @@ func (d *Daemon) flushOldRing() bool {
 		if msg, ok := d.old.store[s]; ok {
 			d.old.deliveredSeq = s
 			d.stats.recoveryFlushes.Add(1)
-			if d.onDelivery != nil {
-				d.onDelivery(msg.Ring, msg.Seq, msg.Origin)
+			for _, cb := range d.onDelivery {
+				cb(msg.Ring, msg.Seq, msg.Origin)
 			}
 			d.groups.deliverData(msg)
 		}
@@ -1125,10 +1109,12 @@ func (d *Daemon) install(form formMsg) {
 		// The coordinator injects the first token.
 		d.onToken(tokenMsg{Ring: d.ring.id, TokenSeq: 1, Seq: 0})
 	}
-	if d.onMembership != nil {
+	if len(d.onMembership) > 0 {
 		members := make([]DaemonID, len(form.Members))
 		copy(members, form.Members)
-		d.onMembership(form.Ring, members)
+		for _, cb := range d.onMembership {
+			cb(form.Ring, members)
+		}
 	}
 }
 
@@ -1273,8 +1259,8 @@ func (d *Daemon) tryDeliver() {
 			// Only the origin's own copy carries a send timestamp.
 			d.mDelivery.ObserveDuration(d.env.Clock.Now().Sub(msg.sentAt))
 		}
-		if d.onDelivery != nil {
-			d.onDelivery(msg.Ring, msg.Seq, msg.Origin)
+		for _, cb := range d.onDelivery {
+			cb(msg.Ring, msg.Seq, msg.Origin)
 		}
 		d.groups.deliverData(msg)
 	}

@@ -165,7 +165,7 @@ func TestReconnectAfterSeverReusesName(t *testing.T) {
 func TestMembershipHandlerFiresPerInstall(t *testing.T) {
 	c := newCluster(t, 97, 3, gcs.TunedConfig())
 	installs := 0
-	c.daemons[0].SetMembershipHandler(func(_ gcs.RingID, _ []gcs.DaemonID) { installs++ })
+	c.daemons[0].AddMembershipHandler(func(_ gcs.RingID, _ []gcs.DaemonID) { installs++ })
 	c.sim.RunFor(5 * time.Second)
 	if installs != 1 {
 		t.Fatalf("boot produced %d installs at daemon 0, want 1", installs)
@@ -221,7 +221,7 @@ func TestGracefulDaemonLeaveSkipsFaultDetection(t *testing.T) {
 	c.sameRing([]int{0, 1, 2, 3}, 4)
 
 	var installedAt time.Duration
-	c.daemons[0].SetMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) {
+	c.daemons[0].AddMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) {
 		if len(members) == 3 && installedAt == 0 {
 			installedAt = c.sim.Elapsed()
 		}

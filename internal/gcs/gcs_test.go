@@ -3,6 +3,7 @@ package gcs_test
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,7 +113,7 @@ func TestFaultDetectionAndReconfiguration(t *testing.T) {
 	c.sameRing([]int{0, 1, 2, 3, 4}, 5)
 
 	var installedAt time.Duration
-	c.daemons[1].SetMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) {
+	c.daemons[1].AddMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) {
 		if len(members) == 4 {
 			installedAt = c.sim.Elapsed()
 		}
@@ -550,5 +551,50 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic run: %q vs %q", a[i], b[i])
 		}
+	}
+}
+
+// TestHandlerSubscribersRunInOrder pins the subscriber-list contract of the
+// membership and delivery handlers: every subscriber fires, in registration
+// order, and adding nil registers nothing.
+func TestHandlerSubscribersRunInOrder(t *testing.T) {
+	c := newCluster(t, 23, 2, gcs.TunedConfig())
+	d := c.daemons[0]
+	var calls []string
+	d.AddMembershipHandler(nil)
+	d.AddDeliveryHandler(nil)
+	for _, name := range []string{"first", "second"} {
+		d.AddMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) {
+			calls = append(calls, fmt.Sprintf("%s members=%d", name, len(members)))
+		})
+		d.AddDeliveryHandler(func(_ gcs.RingID, _ uint64, origin gcs.DaemonID) {
+			calls = append(calls, fmt.Sprintf("%s deliver from %s", name, origin))
+		})
+	}
+	rec := c.connectClient(0, "w", "wack")
+	c.sim.RunFor(5 * time.Second)
+	c.sameRing([]int{0, 1}, 2)
+	calls = calls[:0]
+	if err := rec.sess.Multicast("wack", []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	c.sim.RunFor(time.Second)
+	self := d.ID()
+	want := []string{"first deliver from " + string(self), "second deliver from " + string(self)}
+	if fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Fatalf("delivery calls = %q, want %q", calls, want)
+	}
+	calls = calls[:0]
+	c.hosts[1].NICs()[0].SetUp(false)
+	c.sim.RunFor(10 * time.Second)
+	c.sameRing([]int{0}, 1)
+	var installs []string
+	for _, call := range calls {
+		if strings.Contains(call, "members=") {
+			installs = append(installs, call)
+		}
+	}
+	if want := []string{"first members=1", "second members=1"}; fmt.Sprint(installs) != fmt.Sprint(want) {
+		t.Fatalf("membership calls = %q, want %q", installs, want)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -19,9 +18,7 @@ import (
 // are read-only snapshots assembled per request; the stats they read are
 // atomic snapshots, so serving them never blocks the protocol.
 //
-// /metrics speaks two dialects. Without a registry it keeps the original
-// expvar-style flat JSON object of counters. With a registry installed it
-// serves Prometheus text exposition format 0.0.4, rendering the legacy
+// /metrics serves Prometheus text exposition format 0.0.4: the legacy
 // counters as counter families followed by the registry's typed families —
 // one scrape returns both generations of instrumentation.
 
@@ -38,9 +35,9 @@ type Handler struct {
 	profiling bool
 }
 
-// NewHandler builds the observability handler; metrics may be nil (serves
-// an empty object), tracer may be nil (serves an empty event stream) and
-// registry may be nil (/metrics stays in the legacy JSON dialect).
+// NewHandler builds the observability handler; metrics may be nil (no
+// legacy counters), tracer may be nil (serves an empty event stream) and
+// registry may be nil (no typed families).
 func NewHandler(metricsFn MetricsFunc, tracer *Tracer, registry *metrics.Registry) *Handler {
 	return &Handler{metrics: metricsFn, tracer: tracer, registry: registry}
 }
@@ -89,74 +86,21 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sortedCounters snapshots the legacy counter map with stable key order.
-func (h *Handler) sortedCounters() (map[string]uint64, []string) {
-	vals := map[string]uint64{}
-	if h.metrics != nil {
-		vals = h.metrics()
-	}
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return vals, keys
-}
-
 func (h *Handler) serveMetrics(w http.ResponseWriter) {
-	if h.registry.Enabled() {
-		h.servePrometheus(w)
-		return
-	}
-	h.serveLegacyJSON(w)
-}
-
-// levelSuffixes mark legacy keys that report a level rather than a monotone
-// count; they are typed gauge so scrapers don't compute rates over them.
-var levelSuffixes = []string{"_buffered", "_depth", "_inflight", "_pending", "_queued"}
-
-func legacyType(key string) string {
-	for _, suf := range levelSuffixes {
-		if strings.HasSuffix(key, suf) {
-			return "gauge"
-		}
-	}
-	return "counter"
-}
-
-// servePrometheus writes the legacy counters as counter families followed by
-// the registry's families, all in text exposition format 0.0.4. A legacy key
-// that collides with a registry family name (or a histogram's derived
-// _bucket/_sum/_count sample names) is skipped — emitting both would yield
-// duplicate TYPE/sample lines, which strict parsers reject; the registry's
-// typed family is the better-specified of the two.
-func (h *Handler) servePrometheus(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", metrics.ContentType)
 	// Errors mean the connection died mid-write; nothing recoverable.
 	_ = WriteMetricsProm(w, h.metrics, h.registry)
 }
 
 // WriteMetricsProm writes the full metrics surface — legacy counters as
-// typed families followed by the registry's families — in Prometheus text
-// exposition format 0.0.4. It is the body of the /metrics endpoint, shared
-// with the flight recorder's metrics.prom bundle file. A legacy key that
-// collides with a registry family name (or a histogram's derived
-// _bucket/_sum/_count sample names) is skipped — emitting both would yield
-// duplicate TYPE/sample lines, which strict parsers reject; the registry's
-// typed family is the better-specified of the two.
+// counter families, sorted by name, followed by the registry's families — in
+// Prometheus text exposition format 0.0.4. It is the body of the /metrics
+// endpoint, shared with the flight recorder's metrics.prom bundle file.
+// Legacy keys must not collide with registry family names.
 func WriteMetricsProm(w io.Writer, metricsFn MetricsFunc, registry *metrics.Registry) error {
 	var snap metrics.Snapshot
 	if registry.Enabled() {
 		snap = registry.Snapshot()
-	}
-	reserved := map[string]bool{}
-	for _, f := range snap.Families {
-		reserved[f.Name] = true
-		if f.Kind == metrics.KindHistogram {
-			reserved[f.Name+"_bucket"] = true
-			reserved[f.Name+"_sum"] = true
-			reserved[f.Name+"_count"] = true
-		}
 	}
 	vals := map[string]uint64{}
 	if metricsFn != nil {
@@ -168,36 +112,11 @@ func WriteMetricsProm(w io.Writer, metricsFn MetricsFunc, registry *metrics.Regi
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if reserved[k] {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", k, legacyType(k), k, vals[k]); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", k, k, vals[k]); err != nil {
 			return err
 		}
 	}
 	return metrics.WritePrometheus(w, snap)
-}
-
-// serveLegacyJSON writes the counters as one sorted, indented JSON object,
-// expvar-style.
-func (h *Handler) serveLegacyJSON(w http.ResponseWriter) {
-	vals, keys := h.sortedCounters()
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	// Hand-rolled so the keys stay sorted (json.Marshal of a map sorts too,
-	// but an ordered write keeps the value formatting integral).
-	w.Write([]byte("{\n"))
-	for i, k := range keys {
-		b, _ := json.Marshal(k)
-		w.Write(b)
-		w.Write([]byte(": "))
-		v, _ := json.Marshal(vals[k])
-		w.Write(v)
-		if i < len(keys)-1 {
-			w.Write([]byte(","))
-		}
-		w.Write([]byte("\n"))
-	}
-	w.Write([]byte("}\n"))
 }
 
 // serveEvents streams the ring snapshot as NDJSON, oldest first.
@@ -212,15 +131,8 @@ type Server struct {
 	srv *http.Server
 }
 
-// Serve starts serving the observability endpoints on addr (e.g.
-// "127.0.0.1:4804"); it returns once the listener is bound. registry may be
-// nil, keeping /metrics in the legacy JSON dialect.
-func Serve(addr string, metricsFn MetricsFunc, tracer *Tracer, registry *metrics.Registry) (*Server, error) {
-	return ServeHandler(addr, NewHandler(metricsFn, tracer, registry))
-}
-
-// ServeHandler starts serving a pre-built Handler on addr; callers use it
-// when they need to configure the handler first (EnableProfiling).
+// ServeHandler starts serving h on addr (e.g. "127.0.0.1:4804"); it returns
+// once the listener is bound.
 func ServeHandler(addr string, h *Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

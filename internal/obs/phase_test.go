@@ -132,6 +132,18 @@ func TestOwnershipTimeline(t *testing.T) {
 	if !two[1].From.Before(two[0].To) {
 		t.Fatal("merge overlap lost")
 	}
+
+	want := "  10.0.0.1\n" +
+		"    d1                           +0.000s → +3.000s\n" +
+		"  10.0.0.2\n" +
+		"    d2                           +1.000s → +5.000s\n" +
+		"    d3                           +4.000s → …\n"
+	if got := RenderOwnershipTimeline(events); got != want {
+		t.Fatalf("rendered timeline:\n%s\nwant:\n%s", got, want)
+	}
+	if got := RenderOwnershipTimeline(nil); got != "" {
+		t.Fatalf("empty stream rendered %q", got)
+	}
 }
 
 func TestDaemonOf(t *testing.T) {

@@ -82,9 +82,6 @@ type Policy interface {
 	MoveBound(vips, members int) int
 }
 
-// Names lists the accepted policy names.
-func Names() []string { return []string{NameLeastLoaded, NameMinimal} }
-
 // New returns the named policy, defaulting to least-loaded for "".
 func New(name string) (Policy, error) {
 	switch name {

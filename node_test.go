@@ -94,7 +94,7 @@ func TestNodeStopGracefulVsCrashTiming(t *testing.T) {
 		c := newCluster(t, wackamole.ClusterOptions{Seed: 34, Servers: 3, VIPs: 6})
 		c.Settle()
 		var installedAt time.Duration
-		c.Servers[0].Node.Daemon().SetMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) {
+		c.Servers[0].Node.Daemon().AddMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) {
 			if len(members) == 2 && installedAt == 0 {
 				installedAt = c.Sim.Elapsed()
 			}
